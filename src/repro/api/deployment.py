@@ -97,10 +97,15 @@ class Deployment:
         ``scores`` may carry this model's precomputed anomaly scores for
         ``windows`` (the fleet micro-batcher scores many streams in one
         coalesced forward and dispatches the slices back here).
+        Non-finite windows raise: they would score NaN and leave the
+        monitor's window mean NaN until they aged out.
         """
+        windows = np.asarray(windows, dtype=np.float64)
+        if not np.isfinite(windows).all():
+            raise ValueError("windows hold NaN or infinite values; only "
+                             "finite windows can be ingested")
         if self.controller is not None:
             return self.controller.process_batch(windows, scores=scores)
-        windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 3:
             raise ValueError(f"expected (B, T, frame_dim), got {windows.shape}")
         if scores is None:

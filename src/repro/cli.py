@@ -375,9 +375,9 @@ def cmd_gateway(args) -> int:
                   "(acks follow the fsync; recover with "
                   f"'repro recover {args.wal_dir}')")
         print("[gateway] rounds: "
-              + ("pipelined (async group-commit acks; --no-pipeline for "
-                 "the serial loop)" if args.pipeline_rounds
-                 else "serial (commit in round)"))
+              + ("pipelined (async group-commit acks; --no-pipeline "
+                 "commits inline)" if args.pipeline_rounds
+                 else "depth 0 (group commit inline, end of round)"))
         if args.trace_dir:
             print(f"[gateway] tracing: spans export to {args.trace_dir} "
                   "on drain (summarize with "
@@ -966,8 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
                    action=argparse.BooleanOptionalAction, default=True,
                    help="pipelined rounds (default on): the group-commit "
                         "fsync and acks run on a committer thread while "
-                        "the next round computes; --no-pipeline restores "
-                        "the serial commit-in-round loop")
+                        "the next round computes; --no-pipeline runs the "
+                        "same commit inline at the end of each round "
+                        "(depth 0)")
     p.add_argument("--trace-dir", metavar="PATH", default=None,
                    help="trace every request end to end (gateway, engine, "
                         "shard, WAL spans) and export trace.jsonl + a "

@@ -70,8 +70,6 @@ from .client import (
     run_gateway_benchmark,
     run_pipeline_ab_benchmark,
 )
-# Compatibility re-exports: the metrics primitives were promoted to
-# repro.metrics (repro.gateway.metrics remains as a deprecation shim).
 from ..metrics import (
     Counter,
     Gauge,

@@ -28,11 +28,13 @@ Durable serving: constructed with ``wal_dir``, the gateway attaches a
 ingest is logged before it becomes schedulable and fsynced (group
 commit, one per round) before its response future resolves, so an acked
 ingest survives a SIGKILL and ``repro recover <wal_dir>`` rebuilds the
-fleet bit-identically.  By default rounds are *pipelined*: the engine's
-committer thread fsyncs round N while the round loop computes round
-N+1, and acks resolve from the committer once their covering fsync
-returns — same ack-after-fsync guarantee, shorter critical path
-(``pipeline=False`` restores the serial loop).
+fleet bit-identically.  Response futures always resolve from the
+engine's ``on_commit`` sink, after the fsync that covers them.  By
+default rounds are *pipelined*: the engine's committer thread fsyncs
+round N while the round loop computes round N+1 — same ack-after-fsync
+guarantee, shorter critical path.  ``pipeline=False`` (``repro gateway
+--no-pipeline``) is the depth-0 case of the same commit path: the
+commit runs inline at the end of each round.
 
 The server fronts a :class:`~repro.serving.DeploymentFleet` or a
 :class:`~repro.serving.ShardedFleet` interchangeably — both are facades
@@ -67,7 +69,6 @@ from ..runtime import AdmissionError, EngineRequest, resolve_policy
 from .protocol import (
     CODECS,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
     FrameError,
     RequestError,
@@ -181,14 +182,13 @@ class GatewayServer:
         # Pipelined rounds (default): run_round hands each round's
         # results to the engine's committer thread and immediately
         # schedules the next round, overlapping round N's group-commit
-        # fsync with round N+1's compute.  The committer delivers the
-        # results through _on_batch_committed once their fsync returns,
-        # so acks are still strictly after the fsync that covers them —
-        # --no-pipeline restores the fully serial round loop.
+        # fsync with round N+1's compute; pipeline=False commits inline
+        # (depth 0).  Either way the commit delivers the results through
+        # _on_batch_committed once their fsync returns, so acks are
+        # strictly after the fsync that covers them.
         self.pipeline = bool(pipeline)
         self.engine.pipeline = self.pipeline
-        self.engine.on_commit = self._on_batch_committed if self.pipeline \
-            else None
+        self.engine.on_commit = self._on_batch_committed
         self._loop: asyncio.AbstractEventLoop | None = None
         # Size of the most recent committed ack burst — the round-gather
         # window's estimate of how many closed-loop clients just
@@ -216,6 +216,7 @@ class GatewayServer:
         for wire_codec in CODECS:
             self.metrics.counter(f"gateway.frames.{wire_codec}")
         self.metrics.counter("gateway.rejected.backpressure")
+        self.metrics.counter("gateway.rejected.bad_request")
         self.metrics.counter("gateway.errors")
         self.metrics.counter("gateway.rounds")
         self.metrics.counter("gateway.connections")
@@ -273,14 +274,13 @@ class GatewayServer:
         self._work.set()        # wake the round loop so it can notice
         await self._idle.wait()
         loop = asyncio.get_running_loop()
-        if self.pipeline:
-            # Committer barrier: every handed-off batch fsyncs and
-            # delivers before connections close, so the last round's
-            # acks are written, not dropped.  Joining a thread blocks,
-            # hence the executor; the yield after lets the response
-            # tasks the delivered results woke buffer their frames.
-            await loop.run_in_executor(None, self.engine.stop_committer)
-            await asyncio.sleep(0)
+        # Committer barrier: every handed-off batch fsyncs and delivers
+        # before connections close, so the last round's acks are
+        # written, not dropped.  Joining a thread blocks, hence the
+        # executor; the yield after lets the response tasks the
+        # delivered results woke buffer their frames.
+        await loop.run_in_executor(None, self.engine.stop_committer)
+        await asyncio.sleep(0)
         self._server.close()
         await self._server.wait_closed()
         for conn in list(self._connections):
@@ -329,11 +329,11 @@ class GatewayServer:
         :class:`~repro.runtime.RoundResult`, so no client is ever left
         hanging.
 
-        Pipelined mode: ``run_round`` returns ``[]`` (results arrive via
-        the committer's :meth:`_on_batch_committed` once their group
-        commit fsyncs), so the resolution loop below only runs on the
-        serial path — the next round starts without waiting for the
-        previous round's fsync.
+        Results never come back from ``run_round`` here: the engine's
+        commit delivers them to :meth:`_on_batch_committed` once their
+        group commit fsyncs — inline at depth 0, or from the committer
+        thread when pipelined, in which case the next round starts
+        without waiting for the previous round's fsync.
         """
         loop = asyncio.get_running_loop()
         while True:
@@ -348,8 +348,8 @@ class GatewayServer:
             if self.pipeline:
                 await self._gather_arrivals(loop)
             try:
-                results = await loop.run_in_executor(
-                    self._executor, self.engine.run_round)
+                await loop.run_in_executor(self._executor,
+                                           self.engine.run_round)
             except Exception:  # noqa: BLE001 — belt over run_round's
                 # totality guarantee: whatever slips through must not
                 # kill the round loop and hang every connected client.
@@ -358,13 +358,6 @@ class GatewayServer:
                 continue
             if self.engine.has_pending():
                 self._work.set()  # leftovers form the next round
-            if not results:
-                continue
-            self.metrics.counter("gateway.rounds").inc()
-            for result in results:
-                pending = result.request.tag
-                if not pending.future.done():
-                    pending.future.set_result(result)
 
     async def _gather_arrivals(self, loop) -> None:
         """Pipelined mode's round-gather window.
@@ -392,11 +385,12 @@ class GatewayServer:
             pending = count
 
     def _on_batch_committed(self, results) -> None:
-        """Completion sink for the engine's committer thread (pipelined
-        mode): marshal one committed batch onto the event loop to
-        resolve its response futures.  The fsync covering these requests
-        has already returned (or the batch carries typed ``durability``
-        errors), so resolving here preserves ack-after-fsync."""
+        """Completion sink for the engine's commit (the round executor
+        thread at depth 0, the committer thread when pipelined): marshal
+        one committed batch onto the event loop to resolve its response
+        futures.  The fsync covering these requests has already returned
+        (or the batch carries typed ``durability`` errors), so resolving
+        here preserves ack-after-fsync."""
         loop = self._loop
         if loop is None or loop.is_closed():
             return
@@ -684,6 +678,15 @@ class GatewayServer:
                 "bad_request",
                 f"expected non-empty (B, T, frame_dim) windows, got shape "
                 f"{windows.shape}")
+        if op == "ingest" and not np.isfinite(windows).all():
+            # Refused before submit, so before the WAL append: a NaN
+            # window would score NaN and poison the monitor's mean.  The
+            # stateless scores op touches neither and passes it through.
+            self.metrics.counter("gateway.rejected.bad_request").inc()
+            raise RequestError(
+                "bad_request",
+                "'windows' holds NaN or infinite values; only finite "
+                "windows can be ingested")
         future = asyncio.get_running_loop().create_future()
         request = EngineRequest(op=op, stream=stream, windows=windows,
                                 priority=priority, deadline=deadline,

@@ -12,9 +12,6 @@ keeps a bounded reservoir of raw samples (uniform reservoir sampling once
 full), which is exact for benchmark-sized runs and O(1) memory under
 sustained load.
 
-This module was promoted from ``repro.gateway.metrics``, which remains as
-a deprecation re-export shim.
-
 :func:`percentile` is the shared guard around ``np.percentile``: an
 empty sample list raises a :class:`ValueError` that names the phase
 being summarized instead of numpy's bare ``IndexError``.

@@ -17,6 +17,8 @@ report what happened.  :class:`ServingEngine` owns that loop once:
   scatter across shard workers), with per-entry isolation when a
   coalesced forward fails;
 * **ingest** — deployments consume their precomputed score slices;
+* **commit** — one group-commit path (durability records, fsync, then
+  delivery), inline at depth 0 or on a committer thread when pipelined;
 * **emit** — :class:`FleetEvent`/:class:`RoundResult` objects for the
   caller, and round/latency/queue metrics into one shared
   :class:`repro.metrics.MetricsRegistry`.
@@ -120,23 +122,76 @@ class AdmissionError(ReproError, RuntimeError):
         self.message = message
 
 
+class _Stage:
+    """One traced stage of a round (see :meth:`ServingEngine._stage`).
+
+    :meth:`finish` closes the ``engine.<name>`` span, observes the
+    ``engine.stage.<name>`` histogram and echoes a same-interval
+    ``stage.<name>`` span under each traced request's own context (with
+    shard attribution when the backend partitions streams).  The
+    untraced stage (``span is None``) does nothing at all.
+    """
+
+    __slots__ = ("metrics", "tracer", "name", "span", "requests", "shards")
+
+    def __init__(self, metrics, tracer, name, span, requests=(),
+                 shards=None):
+        self.metrics = metrics
+        self.tracer = tracer
+        self.name = name
+        self.span = span
+        self.requests = requests
+        self.shards = shards
+
+    @property
+    def context(self):
+        """The stage span's trace context (``None`` untraced)."""
+        return None if self.span is None else self.span.context
+
+    @property
+    def trace_kw(self) -> dict:
+        """Keyword arguments parenting a backend call under this stage;
+        empty untraced, so backends without a ``trace`` keyword work."""
+        return {} if self.span is None else {"trace": self.span.context}
+
+    def finish(self, **attrs) -> None:
+        if self.span is None:
+            return
+        done = self.span.finish(**attrs)
+        self.metrics.histogram(f"engine.stage.{self.name}").observe(done.dur)
+        shards = self.shards or {}
+        for request in self.requests:
+            if request.trace is None:
+                continue
+            echo = {"stream": request.stream}
+            if request.stream in shards:
+                echo["shard"] = shards[request.stream]
+            self.tracer.record_span(f"stage.{self.name}",
+                                    parent=request.trace, ts=done.ts,
+                                    dur=done.dur, attrs=echo)
+
+
+_UNTRACED = _Stage(None, None, "", None)
+
+
 @dataclass
 class _CommitBatch:
-    """One round's results riding the committer queue (pipelined mode).
+    """One round's results on their way through the commit path
+    (:meth:`ServingEngine._commit_batch`): inline at depth 0, via the
+    committer queue when pipelined.
 
     Batches are strictly FIFO: the committer pops them in handoff order,
-    so the WAL sees watermark/skip records in exactly the order the
-    serial commit would have written them.  ``dur_span`` is the round's
-    ``engine.durability`` active span, opened on the round thread at
-    handoff and finished on the committer thread after the fsync — which
-    is how ``wal.fsync`` spans stay parented under the *committing*
-    round even though they are recorded from another thread.
+    so the WAL sees watermark/skip records in round order either way.
+    ``durability`` is the round's ``engine.durability`` stage, opened on
+    the round thread at handoff and finished after the fsync — which is
+    how ``wal.fsync`` spans stay parented under the *committing* round
+    even when they are recorded from the committer thread.
     """
 
     results: list[RoundResult]
-    handed_off: float                 # perf_counter at handoff
-    dur_span: object = None           # repro.obs ActiveSpan | None
+    durability: _Stage
     round_index: int = 0
+    handed_off: float = 0.0           # perf_counter at handoff
     wal_seqs: list[int] = field(default_factory=list)
 
 
@@ -150,19 +205,20 @@ class ServingEngine:
     :meth:`ingest_round`, :meth:`score_only`) are single-caller, like the
     fleet methods they replaced.
 
-    **Pipelined mode** (``pipeline=True``): :meth:`run_round` no longer
-    returns its results — it hands them to a dedicated committer thread
-    as an ordered :class:`_CommitBatch` and returns ``[]`` immediately,
-    so round N+1's scheduling/scoring overlaps round N's group-commit
-    fsync.  The committer applies the batch's watermark/skip records,
-    fsyncs, and only then delivers the results through the ``on_commit``
-    callback — ack-after-fsync is preserved, just off the critical path.
-    Batches commit strictly FIFO; a failed fsync latches the engine
-    exactly like the serial path (the failing batch *and every batch
-    queued behind it* deliver typed ``durability`` errors, and
-    :meth:`submit` refuses new ingests).  :meth:`drain_commits` is the
-    barrier callers (snapshots, shutdown) use; :meth:`stop_committer`
-    drains and joins the thread.
+    **Group commit** has one path, :meth:`_commit_batch`, at two
+    depths.  Every round's results become a :class:`_CommitBatch`; the
+    commit applies its watermark/skip records, fsyncs, and only then
+    delivers the results through the ``on_commit`` callback
+    (ack-after-fsync).  At depth 0 (``pipeline=False``) the commit runs
+    inline and :meth:`run_round` also returns the committed results.
+    Pipelined (``pipeline=True``), :meth:`run_round` hands the batch to
+    a dedicated committer thread and returns ``[]`` immediately, so
+    round N+1's scheduling/scoring overlaps round N's fsync.  Batches
+    commit strictly FIFO; a failed fsync latches the engine (the failing
+    batch *and every batch after it* deliver typed ``durability``
+    errors, and :meth:`submit` refuses new ingests).
+    :meth:`drain_commits` is the barrier callers (snapshots, shutdown)
+    use; :meth:`stop_committer` drains and joins the thread.
 
     The lock discipline is machine-checked: attributes annotated
     ``# repro: guarded-by[_lock]`` (the queues, the durability latch,
@@ -189,9 +245,11 @@ class ServingEngine:
         self._lock = Lock()
         # Duck-typed durability hook (e.g. repro.wal.WalDurability; the
         # runtime layer never imports it): record_submit(request) → seq,
-        # record_applied(stream, seq), record_skip(seq), commit(engine).
-        # Accepted ingests are logged before they become schedulable and
-        # fsynced once per round before results reach any caller.
+        # record_applied(stream, seq), record_skip(seq),
+        # flush_only(trace_parent), snapshot_due(rounds) and
+        # snapshot(engine).  Accepted ingests are logged before they
+        # become schedulable and fsynced once per round before results
+        # reach any caller.
         self.durability = durability
         self._durability_failed = False  # repro: guarded-by[_lock]
         # Uptime baseline for stats(); always real monotonic time, never
@@ -203,13 +261,10 @@ class ServingEngine:
         self._tracer = None
         self.slow_round_ms = slow_round_ms
         self.on_slow_round = on_slow_round  # callable(list[Span]) | None
-        # Context the durability hook parents wal.fsync spans under;
-        # set only for the duration of a traced round's commit.
-        self.durability_trace = None
-        # Pipelined group commit: round N's fsync overlaps round N+1's
-        # compute.  on_commit(results) is the completion sink (the
-        # gateway resolves its response futures there); it runs on the
-        # committer thread.
+        # Group commit depth: pipelined, round N's fsync overlaps round
+        # N+1's compute.  on_commit(results) is the completion sink (the
+        # gateway resolves its response futures there); it runs on
+        # whichever thread committed the batch.
         self.pipeline = bool(pipeline)
         self.on_commit = on_commit
         self._commit_queue: deque[_CommitBatch] = deque()  # repro: guarded-by[_lock]
@@ -393,6 +448,13 @@ class ServingEngine:
         request gets exactly one :class:`RoundResult`; this method never
         raises on bad client input or backend failure.
 
+        The round's results then go through :meth:`_commit_batch`, the
+        one commit path: inline here at depth 0 (``pipeline=False``,
+        returning the committed results and then taking any due
+        snapshot), or on the committer thread when pipelined (returning
+        ``[]``; see the class docstring).  Either way ``on_commit``
+        receives every committed batch.
+
         With a tracer attached, the round becomes its own trace
         (``engine.round`` → ``engine.schedule`` / per-wave
         ``engine.score``/``engine.ingest`` / ``engine.durability``) and
@@ -400,20 +462,15 @@ class ServingEngine:
         ``stage.*`` spans parented under *its* context — the join
         between a request's trace and the shared round that served it.
         Abandoned active spans (empty rounds) are never recorded.
-
-        In pipelined mode this returns ``[]`` and the results arrive via
-        ``on_commit`` once their group commit fsyncs (see the class
-        docstring); the serial path returns them directly, post-commit.
         """
         self._maybe_snapshot()
         trc = self._tracer
-        round_span = sched_span = None
+        round_span = None
         mark = 0
         if trc is not None:
             mark = trc.mark()
             round_span = trc.start("engine.round")
-            sched_span = trc.start("engine.schedule",
-                                   parent=round_span.context)
+        schedule = self._stage("schedule", round_span)
         with self._lock:
             if not any(self._queues.values()):
                 return []
@@ -453,10 +510,8 @@ class ServingEngine:
         queue_wait = self.metrics.histogram("engine.stage.queue_wait")
         for wait in waits:
             queue_wait.observe(wait)
+        schedule.finish(selected=len(selected), expired=len(expired))
         if trc is not None:
-            sched = sched_span.finish(selected=len(selected),
-                                      expired=len(expired))
-            self.metrics.histogram("engine.stage.schedule").observe(sched.dur)
             # Measured on the scheduling clock, backdated on the wall
             # clock.
             wall = time.time()
@@ -475,18 +530,60 @@ class ServingEngine:
                 request=request, kind="error", code="expired",
                 message=f"request for stream {request.stream!r} missed its "
                         f"deadline while queued; it was never served"))
-        if not selected:
+        windows = 0
+        if selected:
+            windows = self._serve_selected(selected, view, results,
+                                           round_span)
+        if results:
+            # The durability stage covers every served ingest — even
+            # without a WAL (a ~0-duration span), so each request's stage
+            # chain is complete for the trace checker.
+            batch = _CommitBatch(
+                results=results, round_index=self.rounds,
+                durability=self._stage(
+                    "durability", round_span,
+                    [result.request for result in results
+                     if result.request.op == "ingest"]),
+                handed_off=time.perf_counter(),
+                wal_seqs=[result.request.wal_seq for result in results
+                          if result.request.wal_seq is not None])
             if self.pipeline:
-                self._enqueue_commit(results, trc, round_span)
-                if trc is not None:
-                    round_span.finish(round=self.rounds, streams=0,
-                                      windows=0)
-                return []
-            self._commit_durability(results)
-            if trc is not None:
-                round_span.finish(round=self.rounds, streams=0, windows=0)
-            return results
+                # The caller's next run_round() overlaps this fsync.
+                self._enqueue_commit(batch)
+            else:
+                self._commit_batch(batch)
+        if round_span is not None:
+            finished = round_span.finish(round=self.rounds,
+                                         streams=len(selected),
+                                         windows=windows)
+            self._check_slow_round(finished, trc, mark)
+        if self.pipeline:
+            return []
+        self._maybe_snapshot()
+        return results
 
+    def _stage(self, name: str, parent, requests=(), **attrs) -> _Stage:
+        """Open round stage ``name`` under ``parent`` (the round's
+        active span): the one instrumentation point per stage.  The
+        returned stage's ``finish`` writes the ``engine.<name>`` span,
+        the ``engine.stage.<name>`` histogram and each traced request's
+        ``stage.<name>`` echo together.  Untraced (``parent is None``)
+        it is a shared no-op: no span calls, no histogram."""
+        trc = self._tracer
+        if trc is None or parent is None:
+            return _UNTRACED
+        shards = None
+        if requests:
+            mapper = getattr(self.backend, "stream_shards", None)
+            shards = mapper() if mapper is not None else None
+        span = trc.start(f"engine.{name}", parent=parent.context,
+                         attrs=attrs)
+        return _Stage(self.metrics, trc, name, span, requests, shards)
+
+    def _serve_selected(self, selected: list[EngineRequest], view: dict,
+                        results: list[RoundResult], round_span) -> int:
+        """Execute the selection wave by wave into ``results``; returns
+        the windows served (telemetry only)."""
         start = time.perf_counter()
         windows = 0
         for wave in self._waves(selected, view):
@@ -511,49 +608,7 @@ class ServingEngine:
         except Exception:  # noqa: BLE001 — a metric name/kind collision
             pass           # on a shared registry is not worth hanging
                            # the callers awaiting these results.
-        if self.pipeline:
-            # Hand the batch to the committer and return immediately:
-            # the caller's next run_round() overlaps this batch's fsync.
-            self._enqueue_commit(results, trc, round_span)
-            if trc is not None:
-                finished = round_span.finish(round=self.rounds,
-                                             streams=len(selected),
-                                             windows=windows)
-                self._check_slow_round(finished, trc, mark)
-            return []
-        if trc is None:
-            self._commit_durability(results)
-            return results
-
-        # Traced commit: the durability barrier gets its own span, and
-        # ``durability_trace`` hands the hook (repro.wal.WalDurability)
-        # the context to parent wal.fsync spans under.  Each served
-        # ingest also gets a per-request stage.durability echo — even
-        # without a WAL (a ~0-duration span) so every request's stage
-        # chain is complete for the trace checker.
-        dur_span = trc.start("engine.durability", parent=round_span.context)
-        self.durability_trace = dur_span.context
-        try:
-            self._commit_durability(results)
-        finally:
-            self.durability_trace = None
-        committed = dur_span.finish(durable=self.durability is not None)
-        self.metrics.histogram("engine.stage.durability") \
-            .observe(committed.dur)
-        for result in results:
-            request = result.request
-            if request.op == "ingest" and request.trace is not None:
-                trc.record_span(
-                    "stage.durability", parent=request.trace,
-                    ts=committed.ts, dur=committed.dur,
-                    attrs={"stream": request.stream,
-                           "durable": self.durability is not None,
-                           "outcome": result.kind})
-        finished = round_span.finish(round=self.rounds,
-                                     streams=len(selected),
-                                     windows=windows)
-        self._check_slow_round(finished, trc, mark)
-        return results
+        return windows
 
     def _check_slow_round(self, finished, trc, mark) -> None:
         """Slow-round escalation: bump the counter and hand the round's
@@ -570,43 +625,53 @@ class ServingEngine:
                 # must not fail the round's already-computed results.
                 self.metrics.counter("engine.trace_errors").inc()
 
-    def _commit_durability(self, results: list[RoundResult]) -> None:
-        """End-of-round durability barrier: advance each applied ingest's
-        stream watermark, append skip records for requests that errored
-        or expired (logged but never applied, so replay must not apply
-        them either), then group-commit fsync — all *before* the results
-        leave :meth:`run_round`, which is what makes the gateway's acks
-        ack-after-append.
+    # ------------------------------------------------------------------
+    # Group commit: one path, inline (depth 0) or on the committer thread
+    # ------------------------------------------------------------------
+    def _commit_batch(self, batch: _CommitBatch) -> None:
+        """Commit one round's batch and deliver its results — the only
+        commit path, run inline on the round thread at depth 0 and on
+        the committer thread when pipelined.
+
+        The durability barrier: advance each applied ingest's stream
+        watermark, append skip records for requests that errored or
+        expired (logged but never applied, so replay must not apply them
+        either), then group-commit fsync — all *before* ``on_commit``
+        (or :meth:`run_round`'s return) delivers the results, which is
+        what makes the gateway's acks ack-after-fsync.  The fsync is the
+        hook's ``flush_only``: a due snapshot is only flagged here and
+        taken on the round thread by :meth:`_maybe_snapshot`, because it
+        walks live fleet state.
 
         A failed commit (ENOSPC, I/O error) must not turn into acks for
         requests that are not on disk: every would-be-acked ingest result
-        in the round is converted to a typed ``durability`` error in
+        in the batch is converted to a typed ``durability`` error in
         place, and the engine latches — :meth:`submit` refuses further
-        ingests — because retrying fsync on a file descriptor that
-        already failed one is not reliable; the operator restarts and
-        recovers from the durable prefix.  ``scores`` results still
-        return normally: scoring is stateless and promises nothing about
-        the log.
+        ingests, and every later batch fails the same way — because
+        retrying fsync on a file descriptor that already failed one is
+        not reliable; the operator restarts and recovers from the
+        durable prefix.  ``scores`` results still deliver normally:
+        scoring is stateless and promises nothing about the log.
         """
-        if self.durability is None:
-            return
-        self._commit_records(results, trace_parent=None)
-
-    def _commit_records(self, results: list[RoundResult],
-                        trace_parent=None) -> None:
-        """The shared commit core (serial round thread *and* committer
-        thread): watermark/skip records, then the group-commit fsync.
-
-        On the serial path the fsync goes through ``durability.commit``,
-        which may also snapshot — safe there because the round thread is
-        quiescent between rounds.  On the pipelined path it goes through
-        ``flush_only`` (fsync, no snapshot: a snapshot walks live fleet
-        state the next round is already mutating) and a due snapshot is
-        deferred to the round thread via ``_snapshot_due`` /
-        :meth:`_maybe_snapshot`.  Custom durability hooks without
-        ``flush_only`` get the plain ``commit`` call either way.
-        """
+        results = batch.results
         durability = self.durability
+        if durability is not None:
+            self._commit_records(batch, durability)
+        batch.durability.finish(durable=durability is not None,
+                                pipelined=self.pipeline)
+        callback = self.on_commit
+        if callback is not None:
+            try:
+                callback(results)
+            except Exception:  # noqa: BLE001 — a broken completion sink
+                # must not wedge the committer; later batches still
+                # commit and deliver.
+                self.metrics.counter("engine.commit_errors").inc()
+
+    def _commit_records(self, batch: _CommitBatch, durability) -> None:
+        """Watermark/skip records and the fsync for :meth:`_commit_batch`
+        (latching and failing the batch's acks on any error)."""
+        results = batch.results
         with self._lock:
             failed = self._durability_failed
         if not failed:
@@ -620,22 +685,17 @@ class ServingEngine:
                                                   request.wal_seq)
                     else:
                         durability.record_skip(request.wal_seq)
-                flush_only = getattr(durability, "flush_only", None) \
-                    if self.pipeline else None
-                if flush_only is not None:
-                    flush_only(trace_parent=trace_parent)
-                    due = getattr(durability, "snapshot_due", None)
-                    if due is not None and due(self.rounds):
-                        with self._lock:
-                            self._snapshot_due = True
-                else:
-                    durability.commit(self)
+                durability.flush_only(
+                    trace_parent=batch.durability.context)
+                if durability.snapshot_due(batch.round_index):
+                    with self._lock:
+                        self._snapshot_due = True
                 return
             except Exception:  # noqa: BLE001 — fail the acks, keep going
                 self.metrics.counter("engine.durability_errors").inc()
                 with self._lock:
                     self._durability_failed = True
-        # Latched (this round or a previous one): rounds draining the
+        # Latched (this batch or an earlier one): rounds draining the
         # already-admitted queue no longer touch the WAL — a descriptor
         # that failed one fsync cannot be trusted to report a later one
         # honestly — so their would-be acks fail too.
@@ -650,27 +710,9 @@ class ServingEngine:
                         f"and will not survive recovery — treat it as "
                         f"unacknowledged")
 
-    # ------------------------------------------------------------------
-    # Pipelined group commit: the committer thread
-    # ------------------------------------------------------------------
-    def _enqueue_commit(self, results: list[RoundResult], trc,
-                        round_span) -> None:
-        """Hand one round's results to the committer (FIFO).  Called on
+    def _enqueue_commit(self, batch: _CommitBatch) -> None:
+        """Hand one round's batch to the committer (FIFO).  Called on
         the round thread; starts the committer lazily on first use."""
-        dur_span = None
-        if trc is not None and round_span is not None:
-            # Opened *here* so its parent is the committing round; the
-            # committer finishes it after the fsync, and the durability
-            # hook parents wal.fsync under its context.
-            dur_span = trc.start("engine.durability",
-                                 parent=round_span.context)
-        if not results:
-            return
-        batch = _CommitBatch(
-            results=results, handed_off=time.perf_counter(),
-            dur_span=dur_span, round_index=self.rounds,
-            wal_seqs=[result.request.wal_seq for result in results
-                      if result.request.wal_seq is not None])
         with self._lock:
             if self._committer is None:
                 self._commit_stop = False
@@ -702,6 +744,9 @@ class ServingEngine:
                 self.metrics.gauge("engine.commit_backlog") \
                     .set(self._commit_backlog_locked())
             try:
+                self.metrics.histogram("engine.stage.commit_wait") \
+                    .observe(time.perf_counter() - batch.handed_off)
+                self.metrics.counter("engine.commit_batches").inc()
                 self._commit_batch(batch)
             finally:
                 with self._lock:
@@ -709,49 +754,6 @@ class ServingEngine:
                     self.metrics.gauge("engine.commit_backlog") \
                         .set(self._commit_backlog_locked())
                     self._commit_cv.notify_all()
-
-    def _commit_batch(self, batch: _CommitBatch) -> None:
-        """Commit one batch and deliver its results (committer thread).
-
-        A durability failure here latches the engine and converts the
-        batch's would-be acks exactly like the serial path — and because
-        the latch is checked per batch, every batch queued *behind* the
-        failure delivers ``durability`` errors too.
-        """
-        self.metrics.histogram("engine.stage.commit_wait") \
-            .observe(time.perf_counter() - batch.handed_off)
-        self.metrics.counter("engine.commit_batches").inc()
-        dur_span = batch.dur_span
-        results = batch.results
-        if self.durability is not None:
-            self._commit_records(
-                results,
-                trace_parent=dur_span.context if dur_span is not None
-                else None)
-        if dur_span is not None:
-            committed = dur_span.finish(
-                durable=self.durability is not None, pipelined=True)
-            self.metrics.histogram("engine.stage.durability") \
-                .observe(committed.dur)
-            trc = self._tracer
-            if trc is not None:
-                for result in results:
-                    request = result.request
-                    if request.op == "ingest" and request.trace is not None:
-                        trc.record_span(
-                            "stage.durability", parent=request.trace,
-                            ts=committed.ts, dur=committed.dur,
-                            attrs={"stream": request.stream,
-                                   "durable": self.durability is not None,
-                                   "outcome": result.kind})
-        callback = self.on_commit
-        if callback is not None:
-            try:
-                callback(results)
-            except Exception:  # noqa: BLE001 — a broken completion sink
-                # must not wedge the committer; later batches still
-                # commit and deliver.
-                self.metrics.counter("engine.commit_errors").inc()
 
     def drain_commits(self, timeout: float | None = 60.0) -> bool:
         """Barrier: block until every handed-off batch has committed and
@@ -783,11 +785,13 @@ class ServingEngine:
             self._commit_stop = False
 
     def _maybe_snapshot(self) -> None:
-        """Run a deferred snapshot on the round thread (pipelined mode).
+        """Take a snapshot the commit path flagged as due, on the round
+        thread: right after an inline commit at depth 0, or at the start
+        of the next round when pipelined.
 
-        The committer only *flags* a due snapshot; taking it requires
-        walking live fleet state, which is only safe here — between
-        rounds, after a full commit drain, with the backend quiescent.
+        Snapshotting walks live fleet state, which is only safe here —
+        between rounds, after a full commit drain, with the backend
+        quiescent.
         """
         with self._lock:
             due = self._snapshot_due
@@ -798,11 +802,8 @@ class ServingEngine:
             self._snapshot_due = False
             if self._durability_failed:
                 return
-        snapshot = getattr(self.durability, "snapshot", None)
-        if snapshot is None:
-            return
         try:
-            snapshot(self)
+            self.durability.snapshot(self)
         except Exception:  # noqa: BLE001 — same contract as a failed
             # commit: latch rather than keep acking against a log whose
             # truncation bookkeeping just failed.
@@ -868,113 +869,35 @@ class ServingEngine:
         take a one-scatter fast path on untraced rounds: score and
         ingest ride a single ring round-trip per shard instead of two.
         Traced rounds keep the split commands so the per-stage span
-        structure stays exact, and any fused failure falls back to the
-        split path's per-entry isolation — bit parity either way,
-        because scoring is batch-composition-independent.
+        structure stays exact — bit parity either way, because scoring
+        is batch-composition-independent.
         """
-        trc = self._tracer if round_span is not None else None
-        if trc is None:
-            fused = getattr(self.backend, "serve_round", None)
-            if fused is not None:
-                return self._execute_wave_fused(wave, fused)
-        shard_map = None
-        if trc is not None:
-            mapper = getattr(self.backend, "stream_shards", None)
-            shard_map = mapper() if mapper is not None else None
-
-        def _stage_echo(name_, request_, span_):
-            # The wave runs as one coalesced backend call; each traced
-            # request gets a same-interval echo under its own context,
-            # with shard attribution when the backend knows it.
-            attrs = {"stream": name_}
-            if shard_map and name_ in shard_map:
-                attrs["shard"] = shard_map[name_]
-            trc.record_span(f"stage.{span_.name.split('.', 1)[1]}",
-                            parent=request_.trace, ts=span_.ts,
-                            dur=span_.dur, attrs=attrs)
-
-        outcomes: dict[str, RoundResult] = {}
         by_stream = {request.stream: request for request in wave}
-        arrivals = {name: request.windows
-                    for name, request in by_stream.items()}
-        score_span = None
-        if trc is not None:
-            score_span = trc.start("engine.score",
-                                   parent=round_span.context,
-                                   attrs={"streams": len(arrivals)})
-        try:
-            if score_span is not None:
-                scored = self.backend.score(arrivals,
-                                            trace=score_span.context)
-            else:
-                scored = self.backend.score(arrivals)
-        except Exception:  # noqa: BLE001 — isolate the bad entry below
-            scored = {}
-            for name, request in by_stream.items():
-                try:
-                    scored[name] = self.backend.score(
-                        {name: request.windows})[name]
-                except Exception as exc:  # noqa: BLE001 — typed to caller
-                    outcomes[name] = RoundResult(
-                        request=request, kind="error", code="bad_request",
-                        message=f"windows for stream {name!r} failed to "
-                                f"score: {type(exc).__name__}: {exc}")
-        if score_span is not None:
-            done = score_span.finish(scored=len(scored))
-            self.metrics.histogram("engine.stage.score").observe(done.dur)
-            for name, request in by_stream.items():
-                if request.trace is not None and name in scored:
-                    _stage_echo(name, request, done)
-        ingest = {name: request.windows
-                  for name, request in by_stream.items()
-                  if request.op == "ingest" and name in scored}
-        if ingest:
-            scores_map = {name: scored[name] for name in ingest}
-            ingest_span = None
-            if trc is not None:
-                ingest_span = trc.start("engine.ingest",
-                                        parent=round_span.context,
-                                        attrs={"streams": len(ingest)})
+        outcomes: dict[str, RoundResult] = {}
+        fused = None if round_span is not None \
+            else getattr(self.backend, "serve_round", None)
+        if fused is not None:
+            self._execute_fused(by_stream, fused, outcomes)
+        else:
+            score = self._stage("score", round_span, wave,
+                               streams=len(wave))
             try:
-                if ingest_span is not None:
-                    events = self.backend.ingest(
-                        ingest, scores=scores_map,
-                        trace=ingest_span.context)
-                else:
-                    events = self.backend.ingest(ingest, scores=scores_map)
-            except Exception as exc:  # noqa: BLE001 — typed to caller
-                if ingest_span is not None:
-                    ingest_span.finish(outcome="error")
-                self.metrics.counter("engine.errors").inc()
-                for name in ingest:
-                    outcomes[name] = RoundResult(
-                        request=by_stream[name], kind="error",
-                        code="internal",
-                        message=f"serving round failed: "
-                                f"{type(exc).__name__}: {exc}")
-            else:
-                if ingest_span is not None:
-                    done = ingest_span.finish(outcome="ok")
-                    self.metrics.histogram("engine.stage.ingest") \
-                        .observe(done.dur)
-                    for name in ingest:
-                        if by_stream[name].trace is not None:
-                            _stage_echo(name, by_stream[name], done)
-                for name, event in events.items():
-                    outcomes[name] = RoundResult(
-                        request=by_stream[name], kind="event", event=event)
-        for name, request in by_stream.items():
-            if request.op == "scores" and name in scored:
-                outcomes[name] = RoundResult(
-                    request=request, kind="scores", scores=scored[name])
+                scored = self.backend.score(
+                    {name: request.windows
+                     for name, request in by_stream.items()},
+                    **score.trace_kw)
+            except Exception:  # noqa: BLE001 — isolate the bad entry
+                scored = self._score_each(wave, outcomes)
+            score.finish(scored=len(scored))
+            self._ingest_scored(by_stream, scored, outcomes, round_span)
         return [outcomes.get(request.stream) or RoundResult(
                     request=request, kind="error", code="internal",
                     message=f"round produced no result for stream "
                             f"{request.stream!r}")
                 for request in wave]
 
-    def _execute_wave_fused(self, wave: list[EngineRequest],
-                            fused) -> list[RoundResult]:
+    def _execute_fused(self, by_stream: dict[str, EngineRequest], fused,
+                       outcomes: dict[str, RoundResult]) -> None:
         """One wave through the backend's fused ``serve_round`` scatter.
 
         Failure contract mirrors the split path exactly: a *clean*
@@ -986,95 +909,94 @@ class ServingEngine:
         ``internal`` error a raised split ingest produces, while
         stateless ``scores`` requests are retried solo.
         """
-        outcomes: dict[str, RoundResult] = {}
-        by_stream = {request.stream: request for request in wave}
-        arrivals = {name: request.windows
-                    for name, request in by_stream.items()}
-        ingest_names = [name for name, request in by_stream.items()
-                        if request.op == "ingest"]
         try:
-            scored, events, unscored = fused(arrivals, ingest_names)
+            scored, events, unscored = fused(
+                {name: request.windows
+                 for name, request in by_stream.items()},
+                [name for name, request in by_stream.items()
+                 if request.op == "ingest"])
         except Exception as exc:  # noqa: BLE001 — typed to caller
             self.metrics.counter("engine.errors").inc()
-            for name, request in by_stream.items():
+            for request in by_stream.values():
                 if request.op == "ingest":
-                    outcomes[name] = RoundResult(
-                        request=request, kind="error", code="internal",
-                        message=f"serving round failed: "
-                                f"{type(exc).__name__}: {exc}")
-                else:
-                    try:
-                        solo = self.backend.score(
-                            {name: request.windows})[name]
-                    except Exception as solo_exc:  # noqa: BLE001
-                        outcomes[name] = RoundResult(
-                            request=request, kind="error",
-                            code="bad_request",
-                            message=f"windows for stream {name!r} failed "
-                                    f"to score: "
-                                    f"{type(solo_exc).__name__}: "
-                                    f"{solo_exc}")
-                    else:
-                        outcomes[name] = RoundResult(
-                            request=request, kind="scores", scores=solo)
-            return [outcomes[request.stream] for request in wave]
-        for name, event in events.items():
-            outcomes[name] = RoundResult(
-                request=by_stream[name], kind="event", event=event)
-        for name, request in by_stream.items():
-            if request.op == "scores" and name in scored:
-                outcomes[name] = RoundResult(
-                    request=request, kind="scores", scores=scored[name])
+                    outcomes[request.stream] = self._round_failed(
+                        request, exc)
+            scored = self._score_each(
+                [request for request in by_stream.values()
+                 if request.op == "scores"], outcomes)
+            events, unscored = {}, []
+        self._deliver(by_stream, scored, events, outcomes)
         if unscored:
-            self._isolate_unscored(unscored, by_stream, outcomes)
-        return [outcomes.get(request.stream) or RoundResult(
-                    request=request, kind="error", code="internal",
-                    message=f"round produced no result for stream "
-                            f"{request.stream!r}")
-                for request in wave]
+            self._ingest_scored(
+                by_stream,
+                self._score_each([by_stream[name] for name in unscored],
+                                 outcomes),
+                outcomes)
 
-    def _isolate_unscored(self, unscored: list[str],
-                          by_stream: dict[str, EngineRequest],
-                          outcomes: dict[str, RoundResult]) -> None:
-        """Per-entry isolation for streams whose shard's coalesced score
-        failed cleanly: solo-score each (bit-identical — batch
-        composition never changes scores), then split-ingest the
-        survivors with their precomputed slices."""
-        solo_scored: dict[str, np.ndarray] = {}
-        for name in unscored:
-            request = by_stream[name]
+    def _score_each(self, requests: list[EngineRequest],
+                    outcomes: dict[str, RoundResult]) -> dict:
+        """Per-entry isolation: score each request alone (bit-identical
+        — batch composition never changes scores); a request whose
+        windows cannot score gets a typed ``bad_request`` outcome."""
+        scored: dict[str, np.ndarray] = {}
+        for request in requests:
+            name = request.stream
             try:
-                solo_scored[name] = self.backend.score(
+                scored[name] = self.backend.score(
                     {name: request.windows})[name]
             except Exception as exc:  # noqa: BLE001 — typed to caller
                 outcomes[name] = RoundResult(
                     request=request, kind="error", code="bad_request",
                     message=f"windows for stream {name!r} failed to "
                             f"score: {type(exc).__name__}: {exc}")
-        retry = {name: by_stream[name].windows for name in solo_scored
-                 if by_stream[name].op == "ingest"}
-        if retry:
+        return scored
+
+    def _ingest_scored(self, by_stream: dict[str, EngineRequest],
+                       scored: dict, outcomes: dict[str, RoundResult],
+                       round_span=None) -> None:
+        """Ingest the scored ``ingest`` requests with their precomputed
+        slices, then deliver every scored request's outcome."""
+        ingest = [name for name, request in by_stream.items()
+                  if request.op == "ingest" and name in scored]
+        events: dict = {}
+        if ingest:
+            stage = self._stage("ingest", round_span,
+                               [by_stream[name] for name in ingest],
+                               streams=len(ingest))
             try:
                 events = self.backend.ingest(
-                    retry,
-                    scores={name: solo_scored[name] for name in retry})
+                    {name: by_stream[name].windows for name in ingest},
+                    scores={name: scored[name] for name in ingest},
+                    **stage.trace_kw)
             except Exception as exc:  # noqa: BLE001 — typed to caller
+                stage.finish(outcome="error")
                 self.metrics.counter("engine.errors").inc()
-                for name in retry:
-                    outcomes[name] = RoundResult(
-                        request=by_stream[name], kind="error",
-                        code="internal",
-                        message=f"serving round failed: "
-                                f"{type(exc).__name__}: {exc}")
+                for name in ingest:
+                    outcomes[name] = self._round_failed(by_stream[name], exc)
             else:
-                for name, event in events.items():
-                    outcomes[name] = RoundResult(
-                        request=by_stream[name], kind="event", event=event)
-        for name in solo_scored:
+                stage.finish(outcome="ok")
+        self._deliver(by_stream, scored, events, outcomes)
+
+    @staticmethod
+    def _deliver(by_stream: dict[str, EngineRequest], scored: dict,
+                 events: dict, outcomes: dict[str, RoundResult]) -> None:
+        """Successful outcomes: an ``event`` per ingested stream and a
+        ``scores`` result per scored ``scores`` request."""
+        for name, event in events.items():
+            outcomes[name] = RoundResult(
+                request=by_stream[name], kind="event", event=event)
+        for name, scores in scored.items():
             if by_stream[name].op == "scores":
                 outcomes[name] = RoundResult(
-                    request=by_stream[name], kind="scores",
-                    scores=solo_scored[name])
+                    request=by_stream[name], kind="scores", scores=scores)
+
+    @staticmethod
+    def _round_failed(request: EngineRequest, exc: Exception) -> RoundResult:
+        """The typed ``internal`` error for a request whose ingest (or
+        fused scatter) raised — an indeterminate outcome."""
+        return RoundResult(
+            request=request, kind="error", code="internal",
+            message=f"serving round failed: {type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
     # Metrics / introspection

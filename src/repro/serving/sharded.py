@@ -543,31 +543,52 @@ class ShardedFleet:
         return self._receive(shard)
 
     def _broadcast(self, message: tuple) -> list:
-        """Send to every shard first, then collect — shards overlap.
-
-        Every reply is drained before any error is raised; bailing on the
-        first failure would leave later shards' replies queued and
-        desynchronize the next command.
-        """
+        """Send to every shard first, then gather — shards overlap."""
         self._check_open()
         # One message → one encode, reused for every ring shard.
         blob = dumps_message(message) \
             if any(ring is not None for ring in self._rings_out) else None
         for shard in range(len(self._conns)):
             self._post(shard, message, blob)
-        replies = [self._recv(shard) for shard in range(len(self._conns))]
-        failed = [(shard, status, value)
-                  for shard, (status, value) in enumerate(replies)
-                  if status != "ok"]
+        return self._gather_replies(range(len(self._conns)))
+
+    def _gather_replies(self, shards) -> list:
+        """Receive one reply from each of ``shards`` (in order) and
+        return their values.
+
+        Every reply is drained before any error is raised; bailing on
+        the first failure would leave later shards' replies queued and
+        desynchronize the next command.  One shard's startup failure
+        outranks run-of-the-mill errors: it is the root cause the
+        others' broken pipes follow from.
+        """
+        replies = [(shard, *self._recv(shard)) for shard in shards]
+        failed = [reply for reply in replies if reply[1] != "ok"]
         if failed:
-            # One shard's startup failure outranks run-of-the-mill errors:
-            # it is the root cause the others' broken pipes follow from.
             shard, status, value = next(
                 (f for f in failed if f[1] == "fatal"), failed[0])
             cls = WorkerStartupError if status == "fatal" else WorkerError
             raise cls("; ".join(f"shard {s}: {v}" for s, _, v in failed),
                       shard=shard)
-        return [value for _, value in replies]
+        return [value for _, _, value in replies]
+
+    def _fan_out(self, arrivals: dict, message_for) -> list[tuple]:
+        """Partition a per-stream mapping by shard assignment, post each
+        involved shard ``message_for(shard, slice)`` (every send before
+        any recv, so shards overlap), and gather the replies; returns
+        ``(slice, reply value)`` per shard in shard order."""
+        self._check_open()
+        per_shard: dict[int, dict] = {}
+        for name, value in arrivals.items():
+            shard = self._assignment.get(name)
+            if shard is None:
+                raise KeyError(f"no stream named {name!r} attached")
+            per_shard.setdefault(shard, {})[name] = value
+        shards = sorted(per_shard)
+        self._post_all({shard: message_for(shard, per_shard[shard])
+                        for shard in shards})
+        return list(zip((per_shard[shard] for shard in shards),
+                        self._gather_replies(shards)))
 
     def close(self) -> None:
         """Shut down the worker processes (idempotent).
@@ -721,52 +742,30 @@ class ShardedFleet:
 
     def _scatter(self, command: str, arrivals: dict, extra: tuple = (),
                  trace=None, span_sink=None):
-        """Partition a per-stream mapping by shard assignment, send each
-        involved shard its slice (all sends before any recv, so shards
-        overlap), and merge the per-shard dict replies.
+        """Fan ``command`` out to the shards owning ``arrivals``' streams
+        (see :meth:`_fan_out`) and merge the per-shard dict replies.
 
         With ``trace`` (a :class:`repro.obs.TraceContext`) each shard's
         message is wrapped as ``("traced", info, inner)`` so the worker
         times the inner command and ships its span dicts back alongside
         the result; collected spans go to ``span_sink`` after the merge.
-        Untraced scatters are wire-identical to before.
+        Untraced messages carry no wrapper.
         """
-        self._check_open()
-        per_shard: dict[int, dict] = {}
-        for name, value in arrivals.items():
-            shard = self._assignment.get(name)
-            if shard is None:
-                raise KeyError(f"no stream named {name!r} attached")
-            per_shard.setdefault(shard, {})[name] = value
-        shards = sorted(per_shard)
-        messages: dict[int, tuple] = {}
-        for shard in shards:
-            message = (command, per_shard[shard], *extra)
-            if trace is not None:
-                message = ("traced",
-                           {"trace_id": trace.trace_id,
-                            "parent_id": trace.span_id,
-                            "shard": shard}, message)
-            messages[shard] = message
-        self._post_all(messages)
+        def message_for(shard, part):
+            message = (command, part, *extra)
+            if trace is None:
+                return message
+            return ("traced", {"trace_id": trace.trace_id,
+                               "parent_id": trace.span_id,
+                               "shard": shard}, message)
+
         merged: dict = {}
         spans: list[dict] = []
-        failed: list[tuple[int, str, object]] = []
-        for shard in shards:
-            status, value = self._recv(shard)
-            if status != "ok":
-                failed.append((shard, status, value))
-            else:
-                if trace is not None:
-                    spans.extend(value.get("spans") or ())
-                    value = value["result"]
-                merged.update(value)
-        if failed:
-            shard, status, value = next(
-                (f for f in failed if f[1] == "fatal"), failed[0])
-            cls = WorkerStartupError if status == "fatal" else WorkerError
-            raise cls("; ".join(f"shard {s}: {v}" for s, _, v in failed),
-                      shard=shard)
+        for _, value in self._fan_out(arrivals, message_for):
+            if trace is not None:
+                spans.extend(value.get("spans") or ())
+                value = value["result"]
+            merged.update(value)
         if spans and span_sink is not None:
             span_sink(spans)
         return merged
@@ -811,40 +810,20 @@ class ShardedFleet:
         raised :meth:`ingest_round`, an indeterminate outcome the caller
         must not blindly re-send.
         """
-        self._check_open()
-        per_shard: dict[int, dict] = {}
-        for name, value in arrivals.items():
-            shard = self._assignment.get(name)
-            if shard is None:
-                raise KeyError(f"no stream named {name!r} attached")
-            per_shard.setdefault(shard, {})[name] = value
         ingest_set = set(ingest)
-        shards = sorted(per_shard)
-        self._post_all({
-            shard: ("serve_round", per_shard[shard],
-                    [name for name in per_shard[shard]
-                     if name in ingest_set])
-            for shard in shards})
+        replies = self._fan_out(arrivals, lambda shard, part: (
+            "serve_round", part, [name for name in part
+                                  if name in ingest_set]))
         self._transport_counters["fused_rounds"] += 1
         scored: dict = {}
         events: dict = {}
         unscored: list[str] = []
-        failed: list[tuple[int, str, object]] = []
-        for shard in shards:
-            status, value = self._recv(shard)
-            if status != "ok":
-                failed.append((shard, status, value))
-            elif value["score_error"] is not None:
-                unscored.extend(per_shard[shard])
+        for part, value in replies:
+            if value["score_error"] is not None:
+                unscored.extend(part)
             else:
                 scored.update(value["scores"])
                 events.update(value["events"])
-        if failed:
-            shard, status, value = next(
-                (f for f in failed if f[1] == "fatal"), failed[0])
-            cls = WorkerStartupError if status == "fatal" else WorkerError
-            raise cls("; ".join(f"shard {s}: {v}" for s, _, v in failed),
-                      shard=shard)
         return scored, events, unscored
 
     # ------------------------------------------------------------------

@@ -16,11 +16,13 @@ layer never imports this package) to make queued serving durable:
   snapshots store; a request that errored (expired deadline, windows
   that cannot score) gets a ``skip`` record so replay will not apply
   what the live engine never did.
-* :meth:`commit` — called at the end of every ``run_round`` *before*
-  the results reach any caller: one group-commit fsync covering every
-  request the round served (ack-after-append), then an automatic
-  snapshot-then-truncate when the :class:`~repro.wal.SnapshotPolicy`
-  says one is due.
+* :meth:`flush_only` — the engine's group-commit barrier, called once
+  per round *before* the round's results reach any caller: one fsync
+  covering every request the round served (ack-after-fsync).
+* :meth:`snapshot_due` / :meth:`snapshot` — the commit only asks
+  whether the :class:`~repro.wal.SnapshotPolicy` wants a snapshot; the
+  engine takes it on its round thread, between rounds, because a
+  snapshot walks live fleet state.
 
 Construction writes a genesis snapshot (an empty log cannot be
 recovered without one), and refuses a WAL directory that already holds
@@ -67,14 +69,11 @@ class WalDurability:
     Thread-safety follows the engine's: :meth:`record_submit` runs under
     the engine's admission lock (one appender at a time in submit
     order), while :meth:`record_applied`/:meth:`record_skip`/
-    :meth:`commit` run on the single round-runner thread — or, in the
-    engine's pipelined mode, on its single committer thread (with
-    :meth:`flush_only` in place of :meth:`commit`); either way there is
-    exactly one committing thread, and the log's own lock covers the
-    cross-thread file access.  :meth:`snapshot` always runs on the round
-    thread: the pipelined engine defers a due snapshot (reported by
-    :meth:`snapshot_due`) to the gap between rounds, behind a full
-    commit drain, because snapshotting walks live fleet state.
+    :meth:`flush_only` run on whichever single thread commits the
+    engine's rounds — the round runner, or its committer thread when
+    pipelined — and the log's own lock covers the cross-thread file
+    access.  :meth:`snapshot` always runs on the round thread, behind a
+    full commit drain, because snapshotting walks live fleet state.
     """
 
     def __init__(self, fleet, directory: str | Path,
@@ -149,26 +148,14 @@ class WalDurability:
         ``fleet.remove``); synced immediately, like attach."""
         return self.wal.append(detach_record(stream), sync=True)
 
-    def commit(self, engine) -> None:
-        """End-of-round barrier: fsync everything this round logged
-        (before any ack leaves the building), then snapshot-and-truncate
-        if the policy says it is time.
-
-        A traced engine exposes the round's durability span context as
-        ``engine.durability_trace`` for the duration of the commit, so
-        the flush's ``wal.fsync`` span parents under it."""
-        self.wal.flush(
-            trace_parent=getattr(engine, "durability_trace", None))
-        if self.snapshots.due(engine.rounds):
-            self.snapshot(engine)
-
     def flush_only(self, trace_parent=None) -> None:
-        """The pipelined engine's commit barrier: the group-commit fsync
-        *without* the snapshot check.  Safe from the committer thread —
-        it touches only the log (which has its own lock) — whereas a
-        snapshot walks fleet state the next round may already be
-        mutating; the engine polls :meth:`snapshot_due` and takes the
-        snapshot itself on the round thread."""
+        """End-of-round barrier: fsync everything the round logged
+        (before any ack leaves the building), with the ``wal.fsync``
+        span parented under ``trace_parent`` — the round's
+        ``engine.durability`` span when traced.  No snapshot check: this
+        may run on the committer thread, which touches only the log
+        (it has its own lock); the engine polls :meth:`snapshot_due`
+        and takes the snapshot itself on the round thread."""
         self.wal.flush(trace_parent=trace_parent)
 
     def snapshot_due(self, rounds: int) -> bool:

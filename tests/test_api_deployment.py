@@ -90,6 +90,18 @@ class TestStaticIngestValidation:
         with pytest.raises(ValueError, match=r"\(B, T, frame_dim\)"):
             deployment.ingest(np.zeros((4, 8)))
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_windows_rejected(self, pipeline, adaptive, bad):
+        deployment = pipeline.deploy("Stealing", adaptive=adaptive)
+        windows, _ = pipeline.eval_windows("Stealing")
+        poisoned = np.array(windows[:4], dtype=np.float64)
+        poisoned[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            deployment.ingest(poisoned)
+        # Nothing was consumed: the next finite batch is step 0.
+        assert deployment.ingest(windows[:4]).step == 0
+
     def test_scores_coerced_to_float64(self, pipeline):
         deployment = pipeline.deploy("Stealing", adaptive=False)
         windows, _ = pipeline.eval_windows("Stealing")

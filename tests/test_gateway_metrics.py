@@ -1,8 +1,6 @@
 """Tests for the promoted repro.metrics primitives (shared by the
 engine, the gateway, and the benchmark harnesses)."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -13,24 +11,6 @@ from repro.metrics import (
     MetricsRegistry,
     percentile,
 )
-
-
-class TestDeprecationShim:
-    def test_gateway_metrics_reexports_with_warning(self):
-        import importlib
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.gateway.metrics as shim
-            shim = importlib.reload(shim)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        # Same objects, not copies: isinstance checks keep working
-        # across old and new import paths.
-        assert shim.MetricsRegistry is MetricsRegistry
-        assert shim.percentile is percentile
-        assert shim.Counter is Counter
-        assert shim.Gauge is Gauge
-        assert shim.LatencyHistogram is LatencyHistogram
 
 
 class TestPercentile:

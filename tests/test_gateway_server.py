@@ -255,6 +255,40 @@ class TestFailurePaths:
                                    windows=[[["x"]]])
                 assert err.value.code == "bad_request"
 
+    def test_non_finite_windows_rejected_before_the_wal(
+            self, fleet_factory, materialized, tmp_path):
+        """A NaN/Inf window is refused at admission: typed bad_request,
+        counted, never appended to the WAL, and every stream (the
+        offender's included) keeps serving bit-identically."""
+        windows, reference = materialized
+        with fleet_factory() as fleet, \
+                serve_in_thread(fleet, wal_dir=tmp_path / "wal") as handle:
+            wal = handle.server.durability.wal
+            with GatewayClient(*handle.address) as client:
+                for name in windows:
+                    client.attach(name)
+                for round_index in range(ROUNDS):
+                    if round_index == 1:
+                        for bad in (np.nan, np.inf):
+                            poisoned = windows["cam-0"][1].copy()
+                            poisoned[0, 0, 0] = bad
+                            appended = wal.next_seq
+                            with pytest.raises(GatewayError) as err:
+                                client.ingest("cam-0", poisoned)
+                            assert err.value.code == "bad_request"
+                            assert "finite" in err.value.message
+                            assert wal.next_seq == appended
+                    for name in windows:
+                        reply = client.ingest(name,
+                                              windows[name][round_index])
+                        assert reply["step"] == round_index
+                        assert np.array_equal(
+                            reply["scores_array"],
+                            reference[name][round_index])
+                counters = client.stats()["metrics"]["counters"]
+        assert counters["gateway.rejected.bad_request"] == 2
+        assert counters["gateway.rejected.backpressure"] == 0
+
     def test_backpressure_rejection(self, fleet_factory, materialized):
         windows, reference = materialized
         with fleet_factory() as fleet, \

@@ -30,7 +30,7 @@ from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.errors import DurabilityError
 from repro.runtime import AdmissionError, EngineRequest
 from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
-from repro.wal import WalConfig, WalDurability, recover_fleet
+from repro.wal import SnapshotPolicy, WalConfig, WalDurability, recover_fleet
 
 INFRA = FleetInfra(embedding_seed=7, generator_seed=5)
 ROUNDS = 3
@@ -356,35 +356,92 @@ class TestDurabilityPipelined:
         engine.stop_committer()
         assert engine.min_pending_wal_seq() is None
 
-    def test_custom_hook_without_flush_only_still_commits(
-            self, fresh_model, frame_generator, materialized):
-        # Duck-typing compatibility: a durability hook that predates
-        # flush_only gets the plain commit() call even in pipelined mode.
-        windows, _ = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        commits = []
 
-        class LegacyDurability:
-            def record_submit(self, request):
-                return None
+def canonical(value):
+    """A comparable form of a decoded WAL record or fleet payload
+    (arrays by dtype, shape and raw bytes)."""
+    if isinstance(value, dict):
+        return tuple(sorted((key, canonical(item))
+                            for key, item in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(canonical(item) for item in value)
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    return value
 
-            def record_applied(self, stream, seq):
-                pass
 
-            def record_skip(self, seq):
-                pass
+class TestCommitModeParity:
+    """Serial (depth 0) and pipelined commit must be indistinguishable
+    from the outside: same results, same WAL, same snapshot points,
+    same recovered fleet."""
 
-            def commit(self, engine):
-                commits.append(engine.rounds)
+    ROUNDS = 4
 
+    def serve(self, fleet, wal_dir, pipeline):
+        """Serve ROUNDS rounds (one unscoreable request in round 2, so
+        the log carries a skip record) and return what an observer
+        sees, the log's decoded records included after every round."""
+        windows = {slot.name: [np.asarray(slot.stream.batch(r).windows,
+                                          dtype=np.float64)
+                               for r in range(self.ROUNDS)]
+                   for slot in fleet.slots}
+        windows["cam-0"][2] = np.zeros((1, 2, 3))  # wrong (T, D)
+        durability = WalDurability(fleet, wal_dir,
+                                   config=WalConfig(fsync_batch=64),
+                                   policy=SnapshotPolicy(every_rounds=2))
+        engine = fleet.engine
+        engine.pipeline = pipeline
+        engine.durability = durability
         batches = []
-        engine = pipelined(fleet, batches)
-        engine.durability = LegacyDurability()
-        submit_round(engine, fleet, windows, 0)
-        engine.run_round()
+        engine.on_commit = batches.append
+        served, snapshots, records = [], [], []
+        for round_index in range(self.ROUNDS):
+            submit_round(engine, fleet, windows, round_index)
+            returned = engine.run_round()
+            assert engine.drain_commits(timeout=10.0)
+            # Between rounds: where a pipelined engine takes the
+            # snapshot its committer flagged (a no-op when serial).
+            assert engine.run_round() == []
+            results = returned or batches[-1]
+            served.append([
+                (r.request.stream, r.request.wal_seq, r.kind, r.code,
+                 None if r.event is None else r.event.step,
+                 None if r.event is None else r.event.scores.tobytes())
+                for r in results])
+            snapshots.append(durability.snapshots.snapshots_taken)
+            records.append([canonical(record)
+                            for record in durability.wal.replay()])
         engine.stop_committer()
-        assert commits == [1]
-        assert all(r.kind == "event" for r in batches[0])
+        recovered, report = recover_fleet(wal_dir)
+        try:
+            state = canonical(recovered.to_dict())
+            replayed = {name: [s.tobytes() for s in scores]
+                        for name, scores in report.scores.items()}
+        finally:
+            recovered.close()
+        return served, records, snapshots, state, replayed
+
+    def test_serial_and_pipelined_commit_agree(self, fresh_model,
+                                               frame_generator, tmp_path):
+        outcomes = {}
+        for pipeline in (False, True):
+            fleet = make_fleet(fresh_model, frame_generator)
+            try:
+                outcomes[pipeline] = self.serve(
+                    fleet, tmp_path / f"wal-{pipeline}", pipeline)
+            finally:
+                fleet.close()
+        served, records, snapshots, _, _ = outcomes[False]
+        kinds = [kind for round_ in served for _, _, kind, _, _, _ in round_]
+        assert kinds.count("error") == 1 and "event" in kinds
+        assert snapshots == [1, 2, 2, 3]
+        assert any(dict(record).get("kind") == "skip"
+                   for record in records[2])
+        for label, serial, piped in zip(
+                ("results", "WAL records", "snapshot counts",
+                 "recovered state", "replayed scores"),
+                outcomes[False], outcomes[True]):
+            assert serial == piped, label
 
 
 class TestFusedScatter:

@@ -275,3 +275,57 @@ class TestSlowRoundDump:
         # The drain export landed next to the dumps.
         assert (trace_dir / "trace.jsonl").exists()
         assert (trace_dir / "trace_chrome.json").exists()
+
+
+class TestBenchmarkContract:
+    """The span names and ``stats`` keys the out-of-process benchmark
+    (``perfbench``) reads from a live server: renaming any of them
+    silently zeroes a per-layer metric instead of failing a run."""
+
+    def test_traced_sharded_durable_round(self, fleet_factory, materialized,
+                                          tmp_path):
+        windows, reference = materialized
+        recorder = TraceRecorder()
+        with fleet_factory(shards=2) as fleet, \
+                serve_in_thread(fleet, tracer=recorder,
+                                wal_dir=tmp_path / "wal") as handle:
+            drive(handle.address, windows, reference, recorder=recorder)
+            with GatewayClient(*handle.address) as observer:
+                stats = observer.stats()
+        spans = span_dicts(recorder.snapshot())
+        assert check_trace(spans) == []
+        names = {span["name"] for span in spans}
+        for name in ("gateway.request", "queue.wait", "engine.round",
+                     "engine.score", "engine.ingest", "engine.durability",
+                     "wal.fsync"):
+            assert name in names, name
+        by_id = {span["span_id"]: span for span in spans}
+        shard_parents = {by_id[span["parent_id"]]["name"] for span in spans
+                         if span["name"].startswith("shard.")}
+        assert shard_parents == {"engine.score", "engine.ingest"}
+        rounds = [span for span in by_name(spans, "engine.round")
+                  if span["attrs"].get("streams")]
+        assert rounds
+        assert all(span["attrs"]["pending"] >= 0
+                   for span in by_name(spans, "wal.fsync"))
+
+        engine = stats["engine"]
+        assert engine["rounds"] > 0
+        for key in ("fused_rounds", "shm_bytes"):
+            assert key in engine["transport"], key
+        assert engine["transport"]["shm_bytes"] > 0
+        metrics = stats["metrics"]
+        assert "gateway.rejected.backpressure" in metrics["counters"]
+        assert metrics["counters"]["wal.snapshots"] >= 1
+        for name in ("wal.append_latency", "wal.snapshot_latency"):
+            assert name in metrics["histograms"], name
+
+    def test_inline_stats_report_coalescing(self, fleet_factory,
+                                            materialized):
+        windows, reference = materialized
+        with fleet_factory() as fleet, serve_in_thread(fleet) as handle:
+            drive(handle.address, windows, reference)
+            with GatewayClient(*handle.address) as observer:
+                coalesce = observer.stats()["engine"]["coalesce"]
+        assert coalesce["batches_run"] > 0
+        assert coalesce["windows_scored"] >= coalesce["batches_run"]

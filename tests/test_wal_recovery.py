@@ -400,7 +400,7 @@ class FailingCommitDurability:
     def record_skip(self, seq):
         pass
 
-    def commit(self, engine):
+    def flush_only(self, trace_parent=None):
         raise DurabilityError("group-commit fsync failed: no space left")
 
 
